@@ -9,19 +9,12 @@
 //! theory ablation all`. By default experiments run at the quick scale; `--full` uses
 //! the scale documented in EXPERIMENTS.md.
 //!
-//! The `bench` mode measures the training-step hot path and the parallel sweep runner
-//! and writes a machine-readable `BENCH_<id>.json` record:
+//! Performance is measured by the repository benchmark (`perfbench/`, declared in
+//! `BENCHMARK.json`). The one timing mode kept here, `bench-obs`, measures what
+//! enabling the event log costs a group run and writes a `BENCH_<id>.json` record:
 //!
 //! ```text
-//! cargo run --release -p dssp-bench --bin repro -- bench [--id <id>] [--iters <n>]
-//! ```
-//!
-//! The `bench-net` mode measures the networked pull path — full vs delta pulls over
-//! localhost TCP (bytes/pull, pulls/sec, end-to-end training wall time) — and writes
-//! the same kind of record (`BENCH_pr4.json` is the committed reference):
-//!
-//! ```text
-//! cargo run --release -p dssp-bench --bin repro -- bench-net [--id <id>] [--iters <n>]
+//! cargo run --release -p dssp-bench --bin repro -- bench-obs [--id <id>] [--windows <n>]
 //! ```
 //!
 //! The deployment modes run real networked training over TCP (`dssp-net`, and
@@ -85,6 +78,7 @@
 //! ```
 
 use dssp_bench as bench;
+use dssp_core::json::escape;
 use dssp_core::presets::Scale;
 use dssp_core::report;
 use dssp_net::cli::{flag_value, job_from_flags};
@@ -356,42 +350,6 @@ fn run_launch_mode(args: &[String]) {
     }
 }
 
-fn run_bench_mode(args: &[String]) {
-    let id = flag_value(args, "--id").unwrap_or_else(|| "smoke".to_string());
-    let iters: u32 = flag_value(args, "--iters")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(30)
-        .max(1);
-    let record = bench::perf::collect(&id, iters);
-    let path = format!("BENCH_{id}.json");
-    std::fs::write(&path, record.to_json()).unwrap_or_else(|e| {
-        eprintln!("failed to write {path}: {e}");
-        std::process::exit(1);
-    });
-    print!("{}", record.summary());
-    println!("wrote {path}");
-}
-
-fn run_bench_net_mode(args: &[String]) {
-    let id = flag_value(args, "--id").unwrap_or_else(|| "net_smoke".to_string());
-    let iters: u32 = flag_value(args, "--iters")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200)
-        .max(1);
-    let max_servers: usize = flag_value(args, "--servers")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4)
-        .max(1);
-    let record = bench::netbench::collect(&id, iters, max_servers);
-    let path = format!("BENCH_{id}.json");
-    std::fs::write(&path, record.to_json()).unwrap_or_else(|e| {
-        eprintln!("failed to write {path}: {e}");
-        std::process::exit(1);
-    });
-    print!("{}", record.summary());
-    println!("wrote {path}");
-}
-
 fn run_bench_obs_mode(args: &[String]) {
     let id = flag_value(args, "--id").unwrap_or_else(|| "obs_smoke".to_string());
     let windows: u32 = flag_value(args, "--windows")
@@ -406,22 +364,6 @@ fn run_bench_obs_mode(args: &[String]) {
     });
     print!("{}", record.summary());
     println!("wrote {path}");
-}
-
-/// Minimal JSON string escaping for the chaos-smoke record (error messages may
-/// contain quotes and backslashes from paths).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if c.is_control() => out.push(' '),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// One kill+restart chaos cell per role over real processes: leg A launches the
@@ -512,10 +454,10 @@ fn run_chaos_smoke_mode(args: &[String]) {
         }
         println!("cell {spec}: leg A {leg_a}; leg B {leg_b}");
         records.push(format!(
-            "    {{\"cell\": \"{}\", \"leg_a\": \"{}\", \"leg_b\": \"{}\", \"ok\": {}}}",
-            json_escape(spec),
-            json_escape(&leg_a),
-            json_escape(&leg_b),
+            "    {{\"cell\": {}, \"leg_a\": {}, \"leg_b\": {}, \"ok\": {}}}",
+            escape(spec),
+            escape(&leg_a),
+            escape(&leg_b),
             cell_ok
         ));
         let _ = std::fs::remove_dir_all(&dir);
@@ -659,8 +601,8 @@ fn run_migration_smoke_mode(args: &[String]) {
     );
     let json = format!(
         "{{\n  \"id\": \"migration_smoke\",\n  \"ok\": {ok},\n  \"live_epoch\": {live_epoch},\n  \
-         \"commit_in_log\": {committed_in_log},\n  \"detail\": \"{}\"\n}}\n",
-        json_escape(&detail)
+         \"commit_in_log\": {committed_in_log},\n  \"detail\": {}\n}}\n",
+        escape(&detail)
     );
     let _ = std::fs::remove_dir_all(&scratch);
     if let Err(e) = std::fs::write(&out_path, json) {
@@ -904,14 +846,6 @@ fn print_fleet_summary(addr: &str, exp: &dssp_net::metrics::Exposition) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("bench") => {
-            run_bench_mode(&args);
-            return;
-        }
-        Some("bench-net") => {
-            run_bench_net_mode(&args);
-            return;
-        }
         Some("serve") => {
             run_serve_mode(&args);
             return;
@@ -1023,7 +957,7 @@ fn main() {
                 eprintln!(
                     "expected one of: fig1 fig2 fig3a fig3b fig3c fig3d fig3e fig3f fig4 \
                      table1 throughput theory ablation ablation_strict ablation_estimator \
-                     ablation_aggregation all bench bench-net serve coord worker launch \
+                     ablation_aggregation all serve coord worker launch \
                      chaos-smoke drain rebalance migration-smoke trace analyze stats bench-obs"
                 );
                 std::process::exit(2);

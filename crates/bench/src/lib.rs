@@ -3,14 +3,13 @@
 //! Every experiment in the paper's evaluation section has a function here that runs the
 //! corresponding workload on the simulator and renders the same rows/series the paper
 //! reports. The `repro` binary (`cargo run --release -p dssp-bench --bin repro -- <id>`)
-//! dispatches to these functions; the Criterion benches reuse the same presets at the
-//! quick scale.
+//! dispatches to these functions.
 
 use dssp_cluster::{ClusterSpec, TimeModel};
 use dssp_core::metrics::{average_curve, time_to_accuracy_table, ThroughputSummary};
 use dssp_core::presets::{
-    alexnet_homogeneous, alexnet_paper_cost, dssp_reference, resnet110_heterogeneous,
-    resnet110_homogeneous, resnet50_homogeneous, ssp_sweep, Scale,
+    alexnet_homogeneous, dssp_reference, resnet110_heterogeneous, resnet110_homogeneous,
+    resnet50_homogeneous, ssp_sweep, Scale,
 };
 use dssp_core::{report, RunTrace};
 use dssp_ps::theory::{dssp_regret_bound, regret_rate, ssp_regret_bound, BoundParams};
@@ -18,9 +17,7 @@ use dssp_ps::{IntervalTracker, PolicyKind, SyncController};
 use dssp_sim::{SimConfig, Simulation};
 use std::fmt::Write as _;
 
-pub mod netbench;
 pub mod obsbench;
-pub mod perf;
 
 /// Runs one simulator configuration and returns its trace.
 pub fn run(config: SimConfig) -> RunTrace {
@@ -505,11 +502,6 @@ pub fn ablation_aggregation() -> String {
         );
     }
     out
-}
-
-/// The AlexNet cost profile is re-exported for the Criterion benches.
-pub fn bench_cost_profile() -> dssp_nn::CostProfile {
-    alexnet_paper_cost()
 }
 
 #[cfg(test)]

@@ -8,9 +8,9 @@
 //! v6 trace fields themselves rides both runs — it is part of the protocol — so the
 //! comparison isolates exactly what *enabling* tracing adds.
 //!
-//! Timings follow the repo's min-of-5 paired-window methodology (`perf.rs`): the
-//! off and on runs alternate inside each window and the best round throughput per
-//! mode is kept, cancelling interference on the shared 1-core reference host. The
+//! Timings use min-of-N paired windows: the off and on runs alternate inside each
+//! window and the best round throughput per mode is kept, which cancels most
+//! interference from other load on the host. The
 //! claim checked in review: enabling tracing costs < 2% round throughput.
 
 use dssp_coord::run_group_threads;

@@ -26,7 +26,7 @@
 //! applies the same pushes in the same order. Deterministic mode imposes exactly that
 //! order across the group (grant/apply/confirm serialization, see
 //! [`coordinate`]'s module docs), which is how the workspace-level
-//! `net_equivalence` test proves threaded == 1-server TCP == N-server group
+//! `net_equivalence` test proves loopback == 1-server TCP == N-server group
 //! **bitwise**. Outside deterministic mode each shard server applies pushes in its
 //! own arrival order — the standard behaviour of asynchronous sharded parameter
 //! servers.

@@ -7,12 +7,12 @@
 //! extracts those pieces so that every substrate drives the same code:
 //!
 //! * the discrete-event simulator (`dssp-sim`) — virtual time, single thread;
-//! * the threaded runtime ([`crate::runtime`]) — real threads, channels;
-//! * the networked runtime (`dssp-net`) — real processes, TCP or loopback transports.
+//! * the networked runtime (`dssp-net`) — worker threads over the in-process loopback
+//!   transport, or real processes over TCP;
+//! * the multi-server group (`dssp-coord`) — a coordinator plus shard servers.
 //!
-//! The simulator keeps its own event loop (virtual time needs one), but the threaded
-//! and networked runtimes are thin substrate adapters over [`WorkerStep`] and
-//! [`ServerLoop`].
+//! The simulator keeps its own event loop (virtual time needs one), but the networked
+//! substrates are thin adapters over [`WorkerStep`] and [`ServerLoop`].
 //!
 //! # Deterministic mode
 //!
@@ -23,8 +23,8 @@
 //! processes a push when every runnable worker's next event has arrived, always picking
 //! the lowest-ranked one, and the policy clock becomes a logical event counter instead
 //! of wall time. Two deterministic runs of the same job produce bitwise-identical
-//! weights, accuracies and synchronization statistics on *any* substrate (threads,
-//! loopback channels, TCP sockets); only wall-clock fields differ (see
+//! weights, accuracies and synchronization statistics on *any* substrate (loopback
+//! channels, TCP sockets, a sharded group); only wall-clock fields differ (see
 //! [`dssp_sim::RunTrace::with_times_zeroed`]). The cost is lockstep-ish pacing, so the
 //! mode is for equivalence testing and debugging, not throughput.
 
@@ -37,8 +37,8 @@ use dssp_tensor::Tensor;
 use std::collections::VecDeque;
 use std::time::Duration;
 
-/// Configuration of one distributed training job, shared by the threaded and networked
-/// runtimes (the simulator has its own `SimConfig` because it also models the cluster).
+/// Configuration of one distributed training job, shared by every networked substrate
+/// (the simulator has its own `SimConfig` because it also models the cluster).
 #[derive(Debug, Clone)]
 pub struct JobConfig {
     /// Model architecture replicated by every worker.
@@ -70,8 +70,8 @@ pub struct JobConfig {
     pub shards: usize,
     /// Number of shard-server processes the model's shards are spread over in a
     /// multi-server group deployment (`dssp-coord`). `1` is the classic single-server
-    /// topology (and the only value the simulator, the threaded runtime and plain
-    /// `dssp-net` serve/worker accept). Server `i` owns the contiguous run of global
+    /// topology (and the only value the simulator and plain `dssp-net`
+    /// serve/worker accept). Server `i` owns the contiguous run of global
     /// shards given by `dssp_ps::shard_range(shards, servers, i)`, so the assignment
     /// is never carried on the wire. Part of the config digest: a group worker cannot
     /// silently join a job with a different topology.
@@ -81,8 +81,7 @@ pub struct JobConfig {
     /// advanced) instead of re-downloading the full model every iteration. On by
     /// default; bitwise-neutral (the reconstructed weights are identical either way).
     /// Included in the config digest so a delta-pulling worker cannot silently join a
-    /// full-pull job. Ignored by the simulator and the threaded runtime, which have no
-    /// pull step.
+    /// full-pull job. Ignored by the simulator, which has no pull step.
     pub delta_pulls: bool,
     /// Impose a canonical event order and a logical policy clock so runs are bitwise
     /// reproducible across substrates (see the module docs). Off by default.
@@ -101,8 +100,9 @@ pub struct JobConfig {
     /// checkpointing. Excluded from [`JobConfig::stable_digest`] (where a run stores
     /// its state does not change what it computes).
     pub checkpoint: Option<CheckpointSpec>,
-    /// How long the threaded runtime's server waits without any worker message before
-    /// checking for dead worker threads, in milliseconds.
+    /// Read timeout on the links to shard servers: how long a group worker or
+    /// coordinator waits on a silent shard server before declaring it lost, in
+    /// milliseconds.
     pub stall_timeout_ms: u64,
     /// Observability: directory the networked roles flush their structured event logs
     /// to as NDJSON, one file per role (`server.ndjson`, `coord.ndjson`,
@@ -514,19 +514,6 @@ impl WorkerStep {
             .into_iter()
             .nth(rank)
             .expect("shard for every rank");
-        Self::with_shard(config, rank, shard)
-    }
-
-    /// Like [`WorkerStep::for_rank`] but takes rank's shard directly, for substrates
-    /// that already generated the dataset in-process (the threaded runtime shares one
-    /// generation across the server and all workers).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is inconsistent or `rank` is out of range.
-    pub fn with_shard(config: &JobConfig, rank: usize, shard: dssp_data::Shard) -> Self {
-        config.validate();
-        assert!(rank < config.num_workers, "worker rank out of range");
         let target = config.target_iterations(shard.len());
         let batches = BatchIter::new(
             shard,
@@ -708,7 +695,7 @@ enum Backend {
     Clock(SyncGate),
 }
 
-/// The server decision-loop state shared by the threaded and networked runtimes: owns
+/// The server decision-loop state shared by every networked substrate: owns
 /// the [`ParameterServer`] (or, in a group coordinator, just its gating half),
 /// periodic evaluation, and the run summary.
 pub struct ServerLoop {
@@ -762,8 +749,7 @@ impl ServerLoop {
         Self::with_dataset(config, &dataset)
     }
 
-    /// Like [`ServerLoop::new`] but reuses an already generated dataset (the threaded
-    /// runtime shares one generation between the server and all worker shards).
+    /// Like [`ServerLoop::new`] but reuses an already generated dataset.
     ///
     /// # Panics
     ///
@@ -861,10 +847,10 @@ impl ServerLoop {
         matches!(self.backend, Backend::Local(_))
     }
 
-    /// Copies the current global weights (what an `OK` or pull reply ships). The
-    /// networked runtime serves pulls zero-copy from the store instead
-    /// (`ParameterServer::store`); this allocating form remains for the threaded
-    /// runtime, whose `OK`s move an owned weight vector across a channel.
+    /// Copies the current global weights (what a pull reply ships). The networked
+    /// runtime serves pulls zero-copy from the store instead
+    /// (`ParameterServer::store`); this allocating form is for callers that want an
+    /// owned copy.
     ///
     /// # Panics
     ///
@@ -1372,8 +1358,9 @@ pub struct DeterministicGate {
     /// next event therefore has key `last_key + 1`, which bounds how long dispatch must
     /// wait for it.
     last_key: Vec<u64>,
-    /// Whether released workers fetch weights with an explicit pull event (networked
-    /// runtime) or receive them inline with the `OK` (threaded runtime).
+    /// Whether released workers fetch weights with an explicit pull event (single
+    /// server) or never pull from this role at all (the group coordinator, whose
+    /// workers pull from the shard servers).
     pull_step: bool,
 }
 
@@ -1523,14 +1510,6 @@ impl DeterministicGate {
         } else {
             GateState::Running
         };
-    }
-
-    /// Whether the gate has heard from this worker recently enough to know it is not
-    /// dead: either an event of its is still queued, or its `Done` was dispatched.
-    /// (Stall detectors use this so a worker whose final `Done` is gate-held while a
-    /// slow peer computes is not misdiagnosed as crashed.)
-    pub fn worker_accounted_for(&self, worker: usize) -> bool {
-        !self.queues[worker].is_empty() || self.states[worker] == GateState::Done
     }
 
     /// Reports that a previously blocked worker received its deferred `OK`.

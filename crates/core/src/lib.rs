@@ -21,11 +21,9 @@
 //! * [`json`] — the minimal hand-rolled JSON reader those artifacts are read back
 //!   with (the offline serde shim does not serialize);
 //! * [`driver`] — the transport-agnostic worker step-loop and server decision-loop
-//!   shared by the threaded runtime and the networked runtime (`dssp-net`), including
-//!   the deterministic scheduling gate used for cross-substrate equivalence testing;
-//! * [`runtime`] — a real multi-threaded parameter-server runtime built on crossbeam
-//!   channels that exercises the exact same [`dssp_ps::ParameterServer`] logic with real
-//!   concurrency and wall-clock time;
+//!   the networked runtime (`dssp-net`, in-process over loopback or across processes
+//!   over TCP) runs on, including the deterministic scheduling gate used for
+//!   cross-substrate equivalence testing;
 //! * [`pool`] — a scoped thread pool used to run independent experiments (figure
 //!   sweeps) concurrently with deterministic, input-ordered results.
 //!
@@ -54,7 +52,6 @@ pub mod metrics;
 pub mod pool;
 pub mod presets;
 pub mod report;
-pub mod runtime;
 
 pub use driver::{JobConfig, ServerLoop, WorkerStep};
 pub use dssp_sim::{RunTrace, TracePoint, WorkerSummary};

@@ -146,8 +146,8 @@ fn assemble_batch(raw: &RawExamples, indices: &[usize]) -> (Tensor, Vec<usize>) 
 
 /// One worker's partition of the training data.
 ///
-/// A shard owns its examples so it can be moved onto a worker thread in the threaded
-/// runtime or held by a simulated worker process.
+/// A shard owns its examples so it can be moved onto a worker thread or held by a
+/// simulated worker process.
 #[derive(Debug, Clone)]
 pub struct Shard {
     worker: usize,

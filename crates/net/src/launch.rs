@@ -1,9 +1,11 @@
-//! Multi-process deployment on one machine: run the server in-process and spawn one
-//! OS process per worker, connected over localhost TCP.
-//!
-//! This is the `repro -- launch` backend and the networked analogue of the paper's
-//! 4-node testbed, collapsed onto one host: every worker is a real process with its own
+//! Multi-process deployment on one machine: [`launch`] runs the server in-process and
+//! spawns one OS process per worker, connected over localhost TCP. This is the
+//! `repro -- launch` backend and the networked analogue of the paper's 4-node
+//! testbed, collapsed onto one host: every worker is a real process with its own
 //! address space, exchanging gradients and weights through the wire protocol.
+//!
+//! The in-process counterpart, one worker thread per rank over loopback, is
+//! [`crate::run_loopback`].
 
 use crate::server::serve;
 use crate::tcp::TcpServerTransport;

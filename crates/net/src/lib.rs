@@ -1,9 +1,9 @@
 //! `dssp-net` — the networked DSSP parameter server.
 //!
-//! The simulator (`dssp-sim`) and the threaded runtime (`dssp-core::runtime`) exercise
-//! the paper's server and synchronization controller inside one process. This crate
-//! adds the boundary that defines production parameter-server systems (Li et al.'s
-//! Parameter Server, MXNet's KVStore): a wire protocol, a transport, and per-worker
+//! The simulator (`dssp-sim`) exercises the paper's server and synchronization
+//! controller in virtual time inside one process. This crate adds the boundary that
+//! defines production parameter-server systems (Li et al.'s Parameter Server, MXNet's
+//! KVStore): a wire protocol, a transport, and per-worker
 //! connection state, so the *same* decision logic gates workers across OS processes —
 //! the single-machine analogue of the paper's 4-node testbed.
 //!
@@ -15,7 +15,8 @@
 //! | [`transport`] | [`ServerTransport`]/[`WorkerTransport`] traits + in-process [`transport::loopback`] |
 //! | [`tcp`] | the real-socket transport (`std::net`, blocking reader thread per connection, read-timeout peer attribution) |
 //! | [`server`] | [`serve`]: the single-threaded, lock-free server command loop |
-//! | [`worker`] | [`run_worker`]: the client step-loop (shared with the threaded runtime) |
+//! | [`worker`] | [`run_worker`]: the client step-loop |
+//! | [`runtime`] | [`run_loopback`]: server + one thread per worker over loopback |
 //! | [`launch`] | [`launch::launch`]: server in-process + one child process per worker |
 //! | [`cli`] | flag parsing shared by the `repro` subcommands and the launchers |
 //! | [`metrics`] | atomic counter registry + hand-rolled Prometheus `GET /metrics` endpoint (`--metrics-addr`) |
@@ -25,10 +26,10 @@
 //! clock-only coordinator speaking this crate's protocol — lives one layer up in
 //! `dssp-coord`.
 //!
-//! Both runtimes sit on `dssp_core::driver`, so a `LoopbackTransport` run in
-//! deterministic mode is bitwise-equal to a deterministic threaded run — the
-//! workspace-level `net_equivalence` test asserts exactly that, and the TCP transport
-//! ships IEEE-754 bit patterns verbatim so the equality extends across real sockets.
+//! Every substrate sits on `dssp_core::driver`, so a deterministic [`run_loopback`]
+//! run is the in-process reference: the workspace-level `net_equivalence` test holds
+//! TCP runs and multi-server group runs bitwise-equal to it, since the TCP transport
+//! ships IEEE-754 bit patterns verbatim.
 //!
 //! Since protocol v2 the steady-state frame path is **delta-pulling and
 //! allocation-free**: workers cache per-shard versions and request only the shards
@@ -42,25 +43,15 @@
 //!
 //! ```
 //! use dssp_core::driver::JobConfig;
-//! use dssp_net::{serve, run_worker, transport::loopback};
+//! use dssp_net::run_loopback;
 //! use dssp_ps::PolicyKind;
 //!
 //! let mut job = JobConfig::small(PolicyKind::Bsp);
 //! job.epochs = 1;
-//! let (mut server, workers) = loopback(job.num_workers);
-//! let handles: Vec<_> = workers
-//!     .into_iter()
-//!     .enumerate()
-//!     .map(|(rank, mut transport)| {
-//!         let job = job.clone();
-//!         std::thread::spawn(move || run_worker(&job, rank, &mut transport).unwrap())
-//!     })
-//!     .collect();
-//! let trace = serve(&job, &mut server).unwrap();
-//! for handle in handles {
-//!     handle.join().unwrap();
-//! }
+//! let (result, reports) = run_loopback(&job);
+//! let trace = result.unwrap();
 //! assert!(trace.total_pushes > 0);
+//! assert_eq!(reports.len(), job.num_workers);
 //! ```
 
 #![deny(missing_docs)]
@@ -71,6 +62,7 @@ mod error;
 pub mod launch;
 pub mod metrics;
 pub mod obs;
+pub mod runtime;
 pub mod server;
 pub mod tcp;
 pub mod transport;
@@ -81,6 +73,7 @@ pub use elastic::{fault_due, CheckpointSink, FaultClock};
 pub use error::{NetError, FAULT_EXIT_CODE};
 pub use metrics::{Metrics, MetricsServer};
 pub use obs::Obs;
+pub use runtime::run_loopback;
 pub use server::{require_helloed, serve, validate_hello};
 pub use tcp::{TcpServerTransport, TcpWorkerTransport, TransportStats};
 pub use transport::{apply_pull_message, PullOutcome, PullView, ServerTransport, WorkerTransport};

@@ -4,10 +4,10 @@
 //! implementations exist:
 //!
 //! * [`crate::tcp`] — real sockets, one blocking reader thread per connection;
-//! * [`loopback`] — crossbeam channels inside one process, useful for tests and for
-//!   proving that the networked server is bitwise-equivalent to the threaded runtime
-//!   (no serialization happens, but the *protocol* — including the explicit pull step
-//!   and the delta-pull negotiation — is exercised in full).
+//! * [`loopback`] — crossbeam channels inside one process, the in-process reference
+//!   substrate ([`crate::run_loopback`]) that the TCP and multi-server runs are proven
+//!   bitwise-equal to (no serialization happens, but the *protocol* — including the
+//!   explicit pull step and the delta-pull negotiation — is exercised in full).
 //!
 //! Besides the owned-`Message` `send`/`recv` pair, both traits expose a buffer-reuse
 //! fast path for the steady-state hot loop: workers push borrowed gradient slices

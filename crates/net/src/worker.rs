@@ -1,4 +1,4 @@
-//! The networked worker client: the same training step-loop as the threaded runtime
+//! The networked worker client: the shared training step-loop
 //! ([`dssp_core::driver::WorkerStep`]), talking to the server over a
 //! [`WorkerTransport`].
 //!

@@ -3,29 +3,9 @@
 
 use dssp_core::driver::JobConfig;
 use dssp_net::transport::loopback;
-use dssp_net::{run_worker, serve, NetError, WorkerReport};
+use dssp_net::{run_loopback, run_worker, serve, NetError};
 use dssp_ps::PolicyKind;
-use dssp_sim::RunTrace;
 use std::thread;
-
-/// Runs a full job over loopback: server on this thread, one thread per worker.
-fn run_loopback(job: &JobConfig) -> (Result<RunTrace, NetError>, Vec<WorkerReport>) {
-    let (mut server, workers) = loopback(job.num_workers);
-    let handles: Vec<_> = workers
-        .into_iter()
-        .enumerate()
-        .map(|(rank, mut transport)| {
-            let job = job.clone();
-            thread::spawn(move || run_worker(&job, rank, &mut transport).expect("worker runs"))
-        })
-        .collect();
-    let result = serve(job, &mut server);
-    let reports = handles
-        .into_iter()
-        .map(|h| h.join().expect("worker thread"))
-        .collect();
-    (result, reports)
-}
 
 fn small_job(policy: PolicyKind) -> JobConfig {
     let mut job = JobConfig::small(policy);
@@ -71,6 +51,11 @@ fn dssp_with_a_straggler_grants_extra_iterations_over_the_wire() {
     assert_eq!(total_seen, trace.server_stats.credits_granted);
     let per_worker: u64 = trace.worker_summaries.iter().map(|w| w.iterations).sum();
     assert_eq!(per_worker, trace.total_pushes);
+    // Every push the gate held was released again: nothing is stranded at the end.
+    assert_eq!(
+        trace.server_stats.blocked_pushes,
+        trace.server_stats.releases
+    );
 }
 
 #[test]

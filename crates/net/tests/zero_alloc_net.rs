@@ -7,6 +7,9 @@
 //! handling, zero-copy pull replies, recycled bulk buffers), and on the connection
 //! reader thread (reused payload buffer, pool-fed bulk decodes). The counter is
 //! global, so allocations on *any* thread during the measured window fail the test.
+//! Unlike the per-thread counters of the `dssp-nn` and `dssp-ps` zero-allocation
+//! tests, a global counter is race-free here only because this file holds a single
+//! test: no other test thread allocates while the window is open. Keep it that way.
 //!
 //! The measured window runs with observability fully enabled — a live (idle)
 //! `GET /metrics` listener, metric counter updates, staleness histogram samples and

@@ -9,7 +9,7 @@ use dssp_tensor::Tensor;
 /// Layers own their parameters and accumulated gradients. The forward pass caches
 /// whatever intermediate state the backward pass needs, so a layer instance must be used
 /// in strict `forward` → `backward` order for a given mini-batch (which is how both the
-/// simulator and the threaded runtime drive it).
+/// simulator and the networked runtime drive it).
 ///
 /// Parameters and gradients are exposed as flat `f32` slices via offset-based reads and
 /// writes. That flat view is exactly what a worker pushes to the parameter server and

@@ -6,15 +6,25 @@ use dssp_nn::models::{downsized_alexnet, resnet_cifar};
 use dssp_nn::{Model, Sequential, SoftmaxCrossEntropy, Workspace};
 use dssp_tensor::{uniform_init, Tensor};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Per thread, so the harness's parallel test threads cannot leak allocations into
+    // each other's measured window. The measured code spawns no threads, so the
+    // calling thread's count covers everything it does.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with` because the allocator also runs while a thread's locals are torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -23,7 +33,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -31,10 +41,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
+/// Heap allocations `body` performs on the calling thread.
 fn allocations_during(body: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     body();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    ALLOCATIONS.with(Cell::get) - before
 }
 
 fn assert_steady_state_steps_do_not_allocate(mut model: Sequential, arch: &str) {

@@ -176,8 +176,8 @@ impl ClockTable {
 
 /// Table `A` of Algorithm 2: the two most recent push timestamps per worker.
 ///
-/// Times are seconds as `f64`; the simulator supplies virtual time, the threaded runtime
-/// supplies wall-clock time relative to the start of training.
+/// Times are seconds as `f64`; the simulator supplies virtual time, the networked
+/// runtime supplies wall-clock time relative to the start of training.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct IntervalTracker {
     latest: Vec<Option<f64>>,

@@ -18,9 +18,9 @@
 //! * [`theory`] — numeric helpers for the regret bounds of Theorems 1 and 2.
 //!
 //! The crate is runtime-agnostic: it contains no threads and no virtual clock. Both the
-//! discrete-event simulator (`dssp-sim`) and the multi-threaded runtime
-//! (`dssp-core::runtime`) drive the same `ParameterServer`, so the decision logic under
-//! test is identical in both settings.
+//! discrete-event simulator (`dssp-sim`) and the networked runtime (`dssp-net`,
+//! `dssp-coord`) drive the same `ParameterServer`, so the decision logic under test is
+//! identical in every setting.
 //!
 //! # Example
 //!

@@ -1,9 +1,9 @@
 //! Offline shim for `crossbeam-channel`, backed by a `Mutex<VecDeque>` + `Condvar`.
 //!
-//! Provides the multi-producer/single-consumer subset the DSSP threaded and networked
-//! runtimes use: [`unbounded`], a cloneable [`Sender`], and a blocking [`Receiver`].
+//! Provides the multi-producer/single-consumer subset the DSSP networked runtime
+//! uses: [`unbounded`], a cloneable [`Sender`], and a blocking [`Receiver`].
 //! Unlike the real crate the `Receiver` is not cloneable and there is no `select!`; the
-//! runtimes need neither. See `shims/README.md`.
+//! runtime needs neither. See `shims/README.md`.
 //!
 //! The queue is a `VecDeque` whose capacity is retained across sends, so once the
 //! channel has reached its steady-state depth a `send` moves the message in place and

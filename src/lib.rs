@@ -16,8 +16,8 @@
 //! | [`cluster`] | `dssp-cluster` | device/link profiles, per-iteration time model |
 //! | [`ps`] | `dssp-ps` | parameter server, BSP/ASP/SSP/DSSP policies |
 //! | [`sim`] | `dssp-sim` | discrete-event simulator (real training, virtual time) |
-//! | [`core`](mod@core) | `dssp-core` | experiments, presets, metrics, shared driver, threaded runtime |
-//! | [`net`] | `dssp-net` | wire protocol, TCP/loopback transports, multi-process deployment |
+//! | [`core`](mod@core) | `dssp-core` | experiments, presets, metrics, shared driver |
+//! | [`net`] | `dssp-net` | wire protocol, TCP/loopback transports, in-process and multi-process deployment |
 //! | [`coord`] | `dssp-coord` | multi-server groups: shard servers + clock/controller coordinator |
 //! | [`bench`](mod@bench) | `dssp-bench` | figure/table regeneration for the paper's evaluation |
 //!

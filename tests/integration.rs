@@ -1,9 +1,10 @@
 //! Cross-crate integration tests: full training runs through the public API.
 
+use dssp_core::driver::JobConfig;
 use dssp_core::metrics::{accuracy_time_auc, time_to_accuracy_table};
 use dssp_core::presets::{alexnet_homogeneous, dssp_reference, Scale};
-use dssp_core::runtime::{run_threaded, ThreadedConfig};
 use dssp_core::ExperimentBuilder;
+use dssp_net::run_loopback;
 use dssp_ps::PolicyKind;
 use dssp_sim::Simulation;
 
@@ -76,8 +77,9 @@ fn time_to_accuracy_table_covers_every_policy() {
 
 #[test]
 fn simulator_and_threaded_runtime_agree_on_synchronization_invariants() {
-    // Same workload through both runtimes: the realized staleness bound and the total
-    // number of pushes must agree even though timing differs (virtual vs wall clock).
+    // Same workload on the simulator and on real worker threads (the in-process
+    // loopback runtime): the realized staleness bound and the total number of pushes
+    // must agree even though timing differs (virtual vs wall clock).
     // The strict-range DSSP variant is used because it is the one that promises a hard
     // bound on the realized staleness.
     let policy = PolicyKind::DsspStrict { s_l: 2, r_max: 4 };
@@ -87,10 +89,10 @@ fn simulator_and_threaded_runtime_agree_on_synchronization_invariants() {
         .epochs(2)
         .run();
 
-    let mut threaded_config = ThreadedConfig::small(policy);
-    threaded_config.epochs = 2;
-    threaded_config.extra_compute_delay_ms = vec![0, 2];
-    let threaded_trace = run_threaded(threaded_config);
+    let mut job = JobConfig::small(policy);
+    job.epochs = 2;
+    job.extra_compute_delay_ms = vec![0, 2];
+    let threaded_trace = run_loopback(&job).0.expect("loopback run completes");
 
     for trace in [&sim_trace, &threaded_trace] {
         assert!(

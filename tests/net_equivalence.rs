@@ -1,19 +1,17 @@
-//! Cross-substrate equivalence: under deterministic scheduling, a networked run over
-//! the loopback transport must be **bitwise-equal** to a threaded-runtime run of the
-//! same job — same weights evolution, same accuracies, same synchronization statistics
-//! (wall-clock fields excepted, see `RunTrace::with_times_zeroed`) — and since PR 5 the
-//! same equality extends to a **multi-server group**: one coordinator plus N shard
-//! servers over real TCP sockets, with the model spread across server processes.
+//! Cross-substrate equivalence: under deterministic scheduling, every substrate must
+//! be **bitwise-equal** to the in-process reference run (`dssp_net::run_loopback`) of
+//! the same job — same weights evolution, same accuracies, same synchronization
+//! statistics (wall-clock fields excepted, see `RunTrace::with_times_zeroed`). The
+//! substrates compared are full vs. delta pulls, a single server over real TCP
+//! sockets, and a **multi-server group**: one coordinator plus N shard servers over
+//! real TCP sockets, with the model spread across server processes.
 //!
-//! This is the end-to-end proof that `dssp-net`, `dssp-coord` and
-//! `dssp-core::runtime` really are substrates of one driver: the only code that
-//! differs between the runs is the message plumbing and the storage topology, and
-//! neither perturbs a single bit.
+//! This is the end-to-end proof that `dssp-net` and `dssp-coord` really are
+//! substrates of one driver: the only code that differs between the runs is the
+//! message plumbing and the storage topology, and neither perturbs a single bit.
 
 use dssp::coord::run_group_threads;
 use dssp::core::driver::JobConfig;
-use dssp::core::runtime::run_threaded;
-use dssp::net::transport::loopback;
 use dssp::net::{run_worker, serve, TcpServerTransport, TcpWorkerTransport};
 use dssp::{PolicyKind, RunTrace};
 use std::thread;
@@ -45,54 +43,20 @@ fn run_group(job: &JobConfig) -> RunTrace {
     run_group_threads(job).expect("group run completes").trace
 }
 
-fn run_loopback(job: &JobConfig) -> RunTrace {
-    let (mut server, workers) = loopback(job.num_workers);
-    let handles: Vec<_> = workers
-        .into_iter()
-        .enumerate()
-        .map(|(rank, mut transport)| {
-            let job = job.clone();
-            thread::spawn(move || run_worker(&job, rank, &mut transport).expect("worker runs"))
-        })
-        .collect();
-    let trace = serve(job, &mut server).expect("networked run completes");
-    for handle in handles {
-        handle.join().expect("worker thread");
-    }
-    trace
-}
-
-fn assert_equivalent(policy: PolicyKind) {
-    // The paper's downsized-AlexNet analogue: a real convolutional model, so the
-    // equality covers conv/pool/dense forward-backward, not just toy MLP arithmetic.
-    let mut job = JobConfig::small_alexnet(policy);
-    job.deterministic = true;
-    let threaded = run_threaded(job.clone());
-    let networked = run_loopback(&job);
-    assert!(threaded.total_pushes > 0);
-    assert_eq!(
-        threaded.with_times_zeroed(),
-        networked.with_times_zeroed(),
-        "threaded and networked runs diverged under policy {policy:?}"
-    );
-}
-
-#[test]
-fn bsp_networked_run_is_bitwise_equal_to_the_threaded_runtime() {
-    assert_equivalent(PolicyKind::Bsp);
-}
-
-#[test]
-fn dssp_networked_run_is_bitwise_equal_to_the_threaded_runtime() {
-    assert_equivalent(PolicyKind::Dssp { s_l: 1, r_max: 4 });
+/// The in-process reference run: `serve` plus one `run_worker` thread per rank over
+/// the loopback transport.
+fn run_reference(job: &JobConfig) -> RunTrace {
+    dssp::net::run_loopback(job)
+        .0
+        .expect("loopback run completes")
 }
 
 #[test]
 fn repeated_deterministic_networked_runs_are_bitwise_stable() {
     let mut job = JobConfig::small_alexnet(PolicyKind::Dssp { s_l: 1, r_max: 4 });
     job.deterministic = true;
-    let a = run_loopback(&job);
-    let b = run_loopback(&job);
+    let a = run_reference(&job);
+    let b = run_reference(&job);
     assert_eq!(a.with_times_zeroed(), b.with_times_zeroed());
 }
 
@@ -106,9 +70,9 @@ fn delta_pulls_do_not_perturb_a_single_bit() {
     job.deterministic = true;
     job.shards = 4;
     job.delta_pulls = true;
-    let with_deltas = run_loopback(&job);
+    let with_deltas = run_reference(&job);
     job.delta_pulls = false;
-    let without_deltas = run_loopback(&job);
+    let without_deltas = run_reference(&job);
     assert!(with_deltas.total_pushes > 0);
     assert_eq!(
         with_deltas.with_times_zeroed(),
@@ -120,33 +84,33 @@ fn delta_pulls_do_not_perturb_a_single_bit() {
 #[test]
 fn group_runs_are_bitwise_equal_across_topologies() {
     // The acceptance matrix of the group subsystem: on the AlexNet analogue under
-    // deterministic DSSP, a threaded run, a classic 1-server TCP run, and a 2-server
-    // group run (delta pulls on AND off) must all be bitwise identical — the model is
-    // physically spread over two server sockets with per-server optimizer slices, and
-    // not a bit of the training run moves.
+    // deterministic DSSP, the loopback reference run, a classic 1-server TCP run, and
+    // a 2-server group run (delta pulls on AND off) must all be bitwise identical —
+    // the model is physically spread over two server sockets with per-server
+    // optimizer slices, and not a bit of the training run moves.
     let mut job = JobConfig::small_alexnet(PolicyKind::Dssp { s_l: 1, r_max: 4 });
     job.deterministic = true;
     job.shards = 4;
 
-    let threaded = run_threaded(job.clone()).with_times_zeroed();
+    let reference = run_reference(&job).with_times_zeroed();
     let tcp_single = run_tcp_single(&job).with_times_zeroed();
-    assert!(threaded.total_pushes > 0);
+    assert!(reference.total_pushes > 0);
     assert_eq!(
-        threaded, tcp_single,
-        "threaded and 1-server TCP runs diverged"
+        reference, tcp_single,
+        "loopback and 1-server TCP runs diverged"
     );
 
     job.servers = 2;
     let group_delta = run_group(&job).with_times_zeroed();
     assert_eq!(
-        threaded, group_delta,
+        reference, group_delta,
         "2-server group (delta pulls) diverged from the single server"
     );
 
     job.delta_pulls = false;
     let group_full = run_group(&job).with_times_zeroed();
     assert_eq!(
-        threaded, group_full,
+        reference, group_full,
         "2-server group (full pulls) diverged from the single server"
     );
 }
@@ -162,18 +126,4 @@ fn four_server_group_matches_two_server_group_bitwise() {
     let four = run_group(&job).with_times_zeroed();
     assert!(two.total_pushes > 0);
     assert_eq!(two, four, "server count must not perturb a single bit");
-}
-
-#[test]
-fn delta_pulls_match_the_threaded_runtime_bitwise() {
-    // Threaded runtime (no pull step at all) vs networked runtime with delta pulls:
-    // the strongest cross-substrate statement — inline weight handoff, full pulls and
-    // incremental pulls all describe the same training run.
-    let mut job = JobConfig::small_alexnet(PolicyKind::Bsp);
-    job.deterministic = true;
-    job.shards = 4;
-    job.delta_pulls = true;
-    let threaded = run_threaded(job.clone());
-    let networked = run_loopback(&job);
-    assert_eq!(threaded.with_times_zeroed(), networked.with_times_zeroed());
 }
